@@ -1,11 +1,13 @@
 //! What epoch state commitments cost the simulator.
 //!
-//! The commitment layer hashes the *complete* machine state at every
-//! epoch boundary (see `chats_machine::commit`), so arming it puts a
-//! periodic full-state walk on the hot path. This module measures that
-//! cost directly: the same workload cell is run with commitments off and
-//! with commitments armed at an interval, interleaved rep-for-rep on one
-//! host, and the throughput loss is reported as a fraction.
+//! At every epoch boundary the commitment layer re-hashes the small
+//! sections of the machine state whole and, of the big structures, only
+//! the L1 sets and memory lines the epoch touched (see
+//! `chats_machine::commit`); between boundaries it costs a dirty mark per
+//! changed set or line. This module measures that cost directly: the
+//! same workload cell is run with commitments off and with commitments
+//! armed at an interval, interleaved rep-for-rep on one host, and the
+//! throughput loss is reported as a fraction.
 //!
 //! The contract the gate enforces: **at the default interval
 //! ([`chats_machine::DEFAULT_COMMIT_INTERVAL`]) the overhead stays under

@@ -20,6 +20,7 @@
 //! fault plan's mere presence.
 
 use chats_core::PolicyConfig;
+use chats_machine::Event;
 use chats_runner::Json;
 use chats_workloads::{prepare_run, registry, RunConfig};
 use std::collections::BTreeMap;
@@ -243,39 +244,34 @@ fn pin_event(
         let step_a = ma.step_one().map_err(|e| format!("side a stalled: {e}"))?;
         let step_b = mb.step_one().map_err(|e| format!("side b stalled: {e}"))?;
         let (ha, hb) = (ma.state_commitment().arch, mb.state_commitment().arch);
-        match (step_a, step_b) {
-            (None, None) => return Ok((None, index)),
-            (a, b) => {
-                let time = a.as_ref().or(b.as_ref()).map_or(0, |(t, _)| *t);
-                let desc_a = a.map_or_else(|| "<run complete>".to_string(), |(_, d)| d);
-                let desc_b = b.map_or_else(|| "<run complete>".to_string(), |(_, d)| d);
-                if ha != hb || desc_a != desc_b {
-                    return Ok((
-                        Some(DivergentEvent {
-                            index,
-                            time,
-                            core: parse_core(&desc_a).or_else(|| parse_core(&desc_b)),
-                            desc_a,
-                            desc_b,
-                            hash_a: ha,
-                            hash_b: hb,
-                            fault_injected_here: injections_before == 0
-                                && mb.fault_injections() > 0,
-                        }),
-                        index + 1,
-                    ));
-                }
-            }
+        if step_a.is_none() && step_b.is_none() {
+            return Ok((None, index));
+        }
+        let ev_a = step_a.as_ref().map(|(_, ev)| ev);
+        let ev_b = step_b.as_ref().map(|(_, ev)| ev);
+        if ha != hb || ev_a != ev_b {
+            // Only the reported event is rendered.
+            let desc = |ev: Option<&Event>| {
+                ev.map_or_else(|| "<run complete>".to_string(), |e| format!("{e:?}"))
+            };
+            return Ok((
+                Some(DivergentEvent {
+                    index,
+                    time: step_a.as_ref().or(step_b.as_ref()).map_or(0, |(t, _)| *t),
+                    core: ev_a
+                        .and_then(Event::core)
+                        .or_else(|| ev_b.and_then(Event::core)),
+                    desc_a: desc(ev_a),
+                    desc_b: desc(ev_b),
+                    hash_a: ha,
+                    hash_b: hb,
+                    fault_injected_here: injections_before == 0 && mb.fault_injections() > 0,
+                }),
+                index + 1,
+            ));
         }
     }
     Ok((None, cap))
-}
-
-/// Extracts `core: N` from an event's debug rendering, if present.
-fn parse_core(desc: &str) -> Option<usize> {
-    let rest = &desc[desc.find("core: ")? + "core: ".len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 impl DissectReport {

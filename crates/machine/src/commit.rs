@@ -2,20 +2,31 @@
 //!
 //! The machine's complete deterministic state — per-core state, L1 caches,
 //! the directory and backing store, policy state (VSB/PiC/LEVC/retry),
-//! in-flight interconnect messages and the pending event queue — folds
-//! into one flat byte stream via [`chats_snap`], in a canonical order that
-//! never leaks hash-map iteration order (DESIGN §16). That stream serves
+//! in-flight interconnect messages and the pending event queue — has one
+//! canonical encoding via [`chats_snap`], in named sections and in an
+//! order that never leaks hash-map iteration order (DESIGN §16). It serves
 //! two purposes:
 //!
-//! * **Commitments** — [`Machine::state_commitment`] hashes it with the
-//!   deterministic [`chats_core::fasthash`] hasher. With
-//!   [`Machine::set_commit_interval`] armed, the run loop records an
+//! * **Commitments** — [`Machine::state_commitment`] folds the state into
+//!   a 64-bit hash with the deterministic [`chats_core::fasthash`] hasher.
+//!   With [`Machine::set_commit_interval`] armed, the run loop records an
 //!   [`EpochCommitment`] at every epoch boundary, producing a chain two
 //!   runs can compare epoch-by-epoch (`chats-dissect`).
-//! * **Checkpoints** — [`Machine::checkpoint`] wraps the stream with a
-//!   header (magic, version, configuration guard, the commitment chain so
-//!   far, and a self-check hash); [`Machine::restore`] resumes an
+//! * **Checkpoints** — [`Machine::checkpoint`] wraps the encoded stream
+//!   with a header (magic, version, configuration guard, the commitment
+//!   chain so far, and a self-check hash); [`Machine::restore`] resumes an
 //!   identically-constructed machine from it, bit-for-bit.
+//!
+//! A commitment is **incremental**: it costs what the epoch touched, not
+//! what the machine holds. The big structures — each L1 set, each dense
+//! directory line, each backing-store line — keep one cached hash per
+//! element, marked dirty by the structure's own `&mut` methods
+//! ([`chats_mem::ElementHashes`]); a commitment re-hashes only the dirty
+//! elements and re-hashes the small sections (clock, per-core registers
+//! and policy state, noc, queue, sched, stats, diag, `env.*`) whole. The
+//! result is an ordered fold of section and element hashes. The same fold
+//! with every element re-hashed, [`Machine::state_commitment_from_scratch`],
+//! is the reference: debug builds assert the two agree at every boundary.
 //!
 //! The commitment distinguishes **architectural** state (everything the
 //! simulated hardware holds) from **environment** state (the fault
@@ -28,27 +39,56 @@
 
 use crate::machine::{Machine, Tuning, Violation};
 use crate::msg::Event;
+pub use chats_mem::digest::hash_bytes;
+use chats_mem::Digest;
 use chats_sim::{Cycle, EventQueue};
 use chats_snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::hash::Hasher;
 
 /// Checkpoint magic ("CHATSCKP" little-endian-ish constant).
 const MAGIC: u64 = 0x5043_4B43_5441_4843;
-/// Checkpoint format version; bump on any encoding change.
-const VERSION: u32 = 1;
+/// Checkpoint format version; bump on any encoding change. Version 2:
+/// the chain values in the header are incremental folds, not hashes of
+/// the whole state stream (the body encoding is unchanged).
+const VERSION: u32 = 2;
 
-/// Names of the environment (non-architectural) sections; they are written
-/// last, so the arch hash is the hash of the stream prefix before them.
-const ENV_SECTIONS: [&str; 2] = ["env.faults", "env.watchdog"];
+/// How one section of the machine state is hashed into a commitment.
+#[derive(Clone, Copy)]
+enum Section {
+    /// Small state, serialized and hashed whole at every commitment.
+    Whole(fn(&Machine, &mut SnapWriter)),
+    /// Per-core state: registers whole, each L1 per set.
+    Cores,
+    /// The directory and backing store, per line.
+    Dir,
+}
+
+/// The state sections in canonical order: architectural first, then the
+/// environment sections (`env.*`), so the arch hash is the fold of a
+/// prefix. [`Machine::write_state`] and the commitment both walk this
+/// table, so the encoding and the hash cover the same sections.
+const SECTIONS: [(&str, Section); 10] = [
+    ("clock", Section::Whole(Machine::save_clock)),
+    ("cores", Section::Cores),
+    ("dir", Section::Dir),
+    ("noc", Section::Whole(|m, w| m.xbar.save_state(w))),
+    ("queue", Section::Whole(Machine::save_queue)),
+    ("sched", Section::Whole(Machine::save_sched)),
+    ("stats", Section::Whole(|m, w| m.stats.save(w))),
+    ("diag", Section::Whole(Machine::save_diag)),
+    ("env.faults", Section::Whole(Machine::save_faults)),
+    ("env.watchdog", Section::Whole(|m, w| m.watchdog.save(w))),
+];
 
 /// The default epoch-commitment interval in cycles, shared by the
-/// dissection tools and the overhead bench. Each boundary hashes the
-/// *complete* machine state (a walk proportional to state size, not to
-/// the events in the epoch), so the interval is what amortizes that
-/// fixed cost: 64 Ki cycles keeps the measured throughput loss under 5%
-/// on the 16-core paper config (`chats-bench commit-overhead`), while an
-/// epoch stays small enough that divergence dissection replays at most a
-/// few tens of thousands of events to pin the first divergent one.
+/// dissection tools and the overhead bench. A boundary re-hashes the
+/// small sections whole and only the cache sets and memory lines the
+/// epoch touched, so the interval trades the chain's length (and a
+/// small per-boundary constant) against bracketing resolution: 64 Ki
+/// cycles keeps an epoch small enough that divergence dissection replays
+/// at most a few tens of thousands of events to pin the first divergent
+/// one, at a throughput cost below measurement noise on the 16-core
+/// paper config (`chats-bench commit-overhead`). Dissection runs
+/// routinely arm much finer intervals (CI brackets at 64 cycles).
 pub const DEFAULT_COMMIT_INTERVAL: u64 = 65_536;
 
 /// The full/arch commitment pair of one machine state.
@@ -177,14 +217,6 @@ impl Snap for Violation {
     }
 }
 
-/// Hashes a byte slice with the simulator's deterministic hasher.
-#[must_use]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = chats_core::fasthash::FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
 impl Machine {
     /// Arms epoch commitments: the run loop records an [`EpochCommitment`]
     /// at every multiple of `interval` cycles, starting with the initial
@@ -220,9 +252,20 @@ impl Machine {
         let Some(interval) = self.commit.interval else {
             return;
         };
+        if self.commit.next_at > next_time {
+            return;
+        }
+        // No event runs between the boundaries noted here: one state.
+        let c = self.state_commitment();
+        debug_assert_eq!(
+            c,
+            self.state_commitment_from_scratch(),
+            "incremental commitment at cycle {} misses a mutation: a `&mut` \
+             path changed an element without marking it dirty",
+            self.commit.next_at
+        );
         while self.commit.next_at <= next_time {
             let boundary = self.commit.next_at;
-            let c = self.state_commitment();
             self.commit.chain.push(EpochCommitment {
                 boundary,
                 full: c.full,
@@ -233,34 +276,38 @@ impl Machine {
     }
 
     /// Serializes the complete deterministic machine state into `w`, in
-    /// named sections. Architectural sections come first, the environment
-    /// sections ([`ENV_SECTIONS`]) last, so the arch hash is a prefix
-    /// hash. Trace sinks, schedule hooks and the decision log are not
-    /// state — they observe the run without influencing it.
+    /// the named sections of [`SECTIONS`]: architectural sections first,
+    /// the environment sections (`env.*`) last. Trace sinks, schedule
+    /// hooks and the decision log are not state — they observe the run
+    /// without influencing it.
     ///
     /// **Every new mutable `Machine` field must join this stream** (or be
     /// explicitly argued out as pure observability) — see the DESIGN §16
     /// checklist.
     pub(crate) fn write_state(&self, w: &mut SnapWriter) {
-        w.mark("clock");
+        for (name, section) in SECTIONS {
+            w.mark(name);
+            match section {
+                Section::Whole(save) => save(self, w),
+                Section::Cores => {
+                    w.u64(self.cores.len() as u64);
+                    for c in &self.cores {
+                        c.save_state(w);
+                    }
+                }
+                Section::Dir => self.dir.save_state(w),
+            }
+        }
+    }
+
+    fn save_clock(&self, w: &mut SnapWriter) {
         self.clock.save(w);
         self.started.save(w);
         self.halted.save(w);
         w.u64(self.seed);
+    }
 
-        w.mark("cores");
-        w.u64(self.cores.len() as u64);
-        for c in &self.cores {
-            c.save_state(w);
-        }
-
-        w.mark("dir");
-        self.dir.save_state(w);
-
-        w.mark("noc");
-        self.xbar.save_state(w);
-
-        w.mark("queue");
+    fn save_queue(&self, w: &mut SnapWriter) {
         // Exact delivery order (time, then FIFO within a tie), independent
         // of the timing wheel's internal layout — a restored queue holds
         // the same events in a different arrangement yet hashes the same.
@@ -270,21 +317,21 @@ impl Machine {
             t.save(w);
             ev.save(w);
         }
+    }
 
-        w.mark("sched");
+    fn save_sched(&self, w: &mut SnapWriter) {
         self.lock.save(w);
         self.token.save(w);
         self.ts_source.save(w);
         self.rng.save(w);
+    }
 
-        w.mark("stats");
-        self.stats.save(w);
-
-        w.mark("diag");
+    fn save_diag(&self, w: &mut SnapWriter) {
         self.violations.save(w);
         self.watch_log.save(w);
+    }
 
-        w.mark("env.faults");
+    fn save_faults(&self, w: &mut SnapWriter) {
         match &self.faults {
             None => w.u8(0),
             Some(f) => {
@@ -292,9 +339,6 @@ impl Machine {
                 f.save_state(w);
             }
         }
-
-        w.mark("env.watchdog");
-        self.watchdog.save(w);
     }
 
     /// Restores state captured by [`Machine::write_state`] over this
@@ -360,22 +404,48 @@ impl Machine {
         Ok(())
     }
 
-    /// The commitment of the machine's current state. Cost is one linear
-    /// serialization of live state — intended for epoch boundaries and
-    /// post-run fingerprints, not per-event use.
+    /// The commitment of the machine's current state. Cost is the small
+    /// sections plus the cache sets and memory lines changed since the
+    /// previous commitment (the first one hashes everything) — cheap
+    /// enough for every epoch boundary and, in dissection, every event.
     #[must_use]
-    pub fn state_commitment(&self) -> StateCommitment {
-        let mut w = SnapWriter::new();
-        self.write_state(&mut w);
-        let bytes = w.bytes();
-        let arch_end = w
-            .sections()
-            .iter()
-            .find(|(name, _)| ENV_SECTIONS.contains(name))
-            .map_or(bytes.len(), |(_, range)| range.start);
+    pub fn state_commitment(&mut self) -> StateCommitment {
+        self.commitment(false)
+    }
+
+    /// The reference for [`Machine::state_commitment`]: the same fold with
+    /// every element re-hashed from its current contents, ignoring the
+    /// cached hashes (a full walk of the state). The two agree unless a
+    /// mutation escaped its dirty mark.
+    #[must_use]
+    pub fn state_commitment_from_scratch(&mut self) -> StateCommitment {
+        self.commitment(true)
+    }
+
+    /// Folds the sections of [`SECTIONS`] in order; `arch` is the fold
+    /// just before the first `env.*` section.
+    fn commitment(&mut self, from_scratch: bool) -> StateCommitment {
+        let mut d = Digest::new();
+        let mut arch = None;
+        for (name, section) in SECTIONS {
+            if arch.is_none() && name.starts_with("env.") {
+                arch = Some(d.value());
+            }
+            match section {
+                Section::Whole(save) => d.part(|w| save(self, w)),
+                Section::Cores => {
+                    d.u64(self.cores.len() as u64);
+                    for c in &mut self.cores {
+                        c.digest(&mut d, from_scratch);
+                    }
+                }
+                Section::Dir => self.dir.digest(&mut d, from_scratch),
+            }
+        }
+        let full = d.value();
         StateCommitment {
-            full: hash_bytes(bytes),
-            arch: hash_bytes(&bytes[..arch_end]),
+            full,
+            arch: arch.unwrap_or(full),
         }
     }
 
@@ -479,14 +549,15 @@ impl Machine {
         // Self-check: the restored state must re-serialize to the very
         // bytes just read — anything less means a field was dropped on one
         // side and the resumed run would silently diverge.
-        let restored = self.state_commitment();
-        if restored.full != body_hash {
+        let mut again = SnapWriter::new();
+        self.write_state(&mut again);
+        let restored = hash_bytes(again.bytes());
+        if restored != body_hash {
             return Err(SnapError {
                 at: 0,
                 what: format!(
-                    "restored state re-hashes to {:016x}, checkpoint body was {body_hash:016x} \
-                     (state coverage bug)",
-                    restored.full
+                    "restored state re-serializes to hash {restored:016x}, checkpoint body was \
+                     {body_hash:016x} (state coverage bug)"
                 ),
             });
         }
@@ -671,6 +742,38 @@ mod tests {
         // Truncation ⇒ decode error.
         let mut m = counter_machine(7);
         assert!(m.restore(&ckpt[..ckpt.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused() {
+        let mut a = counter_machine(7);
+        a.set_commit_interval(256);
+        let RunProgress::Paused { .. } = a.run_to(512, 1_000_000).unwrap() else {
+            panic!("workload finished before the pause boundary");
+        };
+        // Version 1 headers carry chain values hashed over the whole state
+        // stream; this build's chains are folds, so the two never compare.
+        let mut v1 = a.checkpoint();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = counter_machine(7).restore(&v1).unwrap_err();
+        assert_eq!(err.at, 12, "{err}");
+        assert!(err.what.contains("checkpoint format v1"), "{err}");
+    }
+
+    #[test]
+    fn incremental_commitments_track_every_event() {
+        let mut m = counter_machine(7);
+        let mut steps = 0;
+        while m.step_one().unwrap().is_some() {
+            let incremental = m.state_commitment();
+            assert_eq!(
+                incremental,
+                m.state_commitment_from_scratch(),
+                "step {steps}"
+            );
+            steps += 1;
+        }
+        assert!(steps > 100, "workload too short");
     }
 
     #[test]

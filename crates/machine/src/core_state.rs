@@ -3,7 +3,7 @@
 use chats_core::{
     LevcArbiter, NaiveValidationCounter, PicContext, RetryManager, Timestamp, ValidationStateBuffer,
 };
-use chats_mem::{Addr, Cache, LineAddr, ReadSignature};
+use chats_mem::{Addr, Cache, Digest, LineAddr, ReadSignature};
 use chats_tvm::{Vm, VmSnapshot};
 
 use crate::oracle::Oracle;
@@ -169,6 +169,24 @@ impl CoreState {
     /// dynamic registers only ([`Vm::save_state`]): the immutable program
     /// is rebuilt by the workload-construction path before restoring.
     pub fn save_state(&self, w: &mut SnapWriter) {
+        self.save_registers(w);
+        self.l1.save(w);
+        self.save_tracking(w);
+    }
+
+    /// Folds the core into a commitment: its registers and policy state
+    /// (everything but the L1) re-hashed every time, then the L1 per set.
+    pub fn digest(&mut self, d: &mut Digest, from_scratch: bool) {
+        d.part(|w| {
+            self.save_registers(w);
+            self.save_tracking(w);
+        });
+        self.l1.digest(d, from_scratch);
+    }
+
+    /// The encoding of the fields before the L1: VM, HTM engine and policy
+    /// state.
+    fn save_registers(&self, w: &mut SnapWriter) {
         match &self.vm {
             None => w.u8(0),
             Some(vm) => {
@@ -187,7 +205,11 @@ impl CoreState {
         self.levc.save(w);
         self.levc_ts.save(w);
         self.retry.save(w);
-        self.l1.save(w);
+    }
+
+    /// The encoding of the fields after the L1: read set, outstanding
+    /// requests, park state, predictor and oracle.
+    fn save_tracking(&self, w: &mut SnapWriter) {
         self.read_sig.save(w);
         self.pending_mem.save(w);
         self.val_req.save(w);

@@ -7,7 +7,7 @@
 
 use crate::msg::Request;
 use chats_core::fasthash::{FastHashMap, FastHashSet};
-use chats_mem::{BackingStore, Line, LineAddr};
+use chats_mem::{BackingStore, Digest, ElementHashes, Line, LineAddr};
 use chats_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
@@ -79,6 +79,9 @@ pub struct Directory {
     warm_bits: Vec<u64>,
     /// Warm lines at or above `DENSE_DIR_LINES`.
     warm_spill: FastHashSet<LineAddr>,
+    /// Commitment hash per dense line (its `DirLine` and warm bit);
+    /// `line_mut` and `touch` mark the line they hand out or warm.
+    line_hashes: ElementHashes,
 }
 
 impl Directory {
@@ -90,6 +93,7 @@ impl Directory {
             store: BackingStore::new(),
             warm_bits: Vec::new(),
             warm_spill: FastHashSet::default(),
+            line_hashes: ElementHashes::default(),
         }
     }
 
@@ -102,6 +106,7 @@ impl Directory {
             if idx >= self.dense.len() {
                 self.dense.resize_with(idx + 1, DirLine::new);
             }
+            self.line_hashes.mark(idx);
             &mut self.dense[idx]
         } else {
             self.spill.entry(addr).or_insert_with(DirLine::new)
@@ -136,7 +141,10 @@ impl Directory {
                 self.warm_bits.resize(word + 1, 0);
             }
             let cold = self.warm_bits[word] & (1u64 << bit) == 0;
-            self.warm_bits[word] |= 1u64 << bit;
+            if cold {
+                self.warm_bits[word] |= 1u64 << bit;
+                self.line_hashes.mark(idx as usize);
+            }
             cold
         } else {
             self.warm_spill.insert(addr)
@@ -250,7 +258,42 @@ impl Directory {
         self.store = store;
         self.warm_bits = warm_bits;
         self.warm_spill = warm_spill;
+        self.line_hashes = ElementHashes::default();
         Ok(())
+    }
+
+    /// Folds the directory into a commitment: the dense span's size and
+    /// the spill maps every time, then one hash per dense line (`DirLine`
+    /// plus warm bit), re-hashing only lines handed out by `line_mut` or
+    /// warmed by `touch` since the last fold (every line when
+    /// `from_scratch`), then the backing store. Covers exactly what
+    /// [`Directory::save_state`] writes.
+    pub fn digest(&mut self, d: &mut Digest, from_scratch: bool) {
+        d.part(|w| {
+            w.u64(self.dense.len() as u64);
+            self.spill.save(w);
+            w.u64(self.warm_bits.len() as u64);
+            self.warm_spill.save(w);
+        });
+        let Directory {
+            dense,
+            warm_bits,
+            line_hashes,
+            store,
+            ..
+        } = self;
+        // A slot past the grown span reads as a fresh line, so growing the
+        // span leaves the hashes of the slots it fills in unchanged.
+        let fresh = DirLine::new();
+        let n = dense.len().max(warm_bits.len() * 64);
+        line_hashes.fold(d, n, from_scratch, |i, w| {
+            dense.get(i).unwrap_or(&fresh).save(w);
+            let warm = warm_bits
+                .get(i / 64)
+                .is_some_and(|b| b >> (i % 64) & 1 == 1);
+            warm.save(w);
+        });
+        store.digest(d, from_scratch);
     }
 }
 
@@ -283,6 +326,60 @@ mod tests {
         let mut d = Directory::new();
         d.line_mut(LineAddr(2)).state = DirState::Owned(3);
         assert_eq!(d.state_of(LineAddr(2)), DirState::Owned(3));
+    }
+
+    /// The incremental digest, then the from-scratch one, of `d`.
+    fn digests(d: &mut Directory) -> (u64, u64) {
+        let (mut inc, mut reference) = (Digest::new(), Digest::new());
+        d.digest(&mut inc, false);
+        d.digest(&mut reference, true);
+        (inc.value(), reference.value())
+    }
+
+    #[test]
+    fn every_mutating_method_marks_what_it_changes() {
+        use chats_mem::Addr;
+        let mut d = Directory::new();
+        type Step = (&'static str, fn(&mut Directory));
+        let steps: [Step; 8] = [
+            ("line_mut", |d| {
+                d.line_mut(LineAddr(3)).state = DirState::Owned(1)
+            }),
+            ("line_mut again", |d| d.line_mut(LineAddr(3)).busy = true),
+            ("touch", |d| assert!(d.touch(LineAddr(2)))),
+            ("touch past the span", |d| assert!(d.touch(LineAddr(200)))),
+            ("store write_word", |d| d.store.write_word(Addr(17), 9)),
+            ("store write_line", |d| {
+                d.store.write_line(LineAddr(2), Line::splat(4))
+            }),
+            ("store write_word again", |d| {
+                d.store.write_word(Addr(18), 5)
+            }),
+            ("spill", |d| {
+                d.line_mut(LineAddr(DENSE_DIR_LINES as u64 + 9)).busy = true;
+                d.touch(LineAddr(DENSE_DIR_LINES as u64 + 9));
+            }),
+        ];
+        let mut last = digests(&mut d).0;
+        for (what, step) in steps {
+            step(&mut d);
+            let (inc, reference) = digests(&mut d);
+            assert_eq!(inc, reference, "{what} changed a line without marking it");
+            assert_ne!(inc, last, "{what} changed nothing");
+            last = inc;
+        }
+        // A restore replaces every line behind the caches' back: nothing
+        // cached may survive it.
+        let mut w = SnapWriter::new();
+        d.save_state(&mut w);
+        let saved = w.into_bytes();
+        d.line_mut(LineAddr(3)).state = DirState::Shared(vec![0, 2]);
+        d.store.write_word(Addr(17), 10);
+        let _ = digests(&mut d);
+        d.restore_state(&mut SnapReader::new(&saved)).unwrap();
+        let (inc, reference) = digests(&mut d);
+        assert_eq!(inc, reference, "restore left stale hashes behind");
+        assert_eq!(inc, last);
     }
 
     #[test]

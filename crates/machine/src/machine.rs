@@ -654,20 +654,19 @@ impl Machine {
 
     /// Dispatches exactly one event: the dissection primitive. Seeds the
     /// initial events on the first call (like [`Machine::run`]), then pops
-    /// and dispatches the next event, returning its time and a rendered
-    /// description. Returns `Ok(None)` once the queue is empty. Commit
+    /// and dispatches the next event, returning its time and the event
+    /// itself. Returns `Ok(None)` once the queue is empty. Commit
     /// boundaries are *not* recorded — single-stepping callers hash the
     /// state themselves via [`Machine::state_commitment`].
     ///
     /// # Errors
     ///
     /// Propagates a watchdog stall, exactly as the run loop would.
-    pub fn step_one(&mut self) -> Result<Option<(u64, String)>, SimError> {
+    pub fn step_one(&mut self) -> Result<Option<(u64, Event)>, SimError> {
         self.seed_initial_steps();
         let Some((t, ev)) = self.next_event() else {
             return Ok(None);
         };
-        let desc = format!("{ev:?}");
         self.clock = t;
         self.stats.events += 1;
         if self.watchdog.is_some() {
@@ -675,8 +674,8 @@ impl Machine {
                 return Err(err);
             }
         }
-        self.dispatch(ev);
-        Ok(Some((t.0, desc)))
+        self.dispatch(ev.clone());
+        Ok(Some((t.0, ev)))
     }
 
     /// Pushes the initial `CoreStep` events, once per machine lifetime.

@@ -33,7 +33,7 @@ pub struct Request {
 }
 
 /// Messages delivered to a core's L1 controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreMsg {
     /// A standard coherence response with data and permissions.
     Data {
@@ -98,7 +98,7 @@ pub enum ProbeOutcome {
 }
 
 /// Messages delivered to the directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirMsg {
     /// A new coherence request.
     Request(Request),
@@ -125,7 +125,7 @@ pub enum DirMsg {
 }
 
 /// All simulation events.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// Resume executing a core's VM.
     CoreStep {
@@ -172,6 +172,27 @@ pub enum Event {
         /// The message.
         msg: CoreMsg,
     },
+}
+
+impl Event {
+    /// The core the event names: the core it steps or delivers to, or for
+    /// a directory message the requesting core. `None` for a writeback
+    /// timing notice, which names no core.
+    #[must_use]
+    pub fn core(&self) -> Option<usize> {
+        match self {
+            Event::CoreStep { core, .. }
+            | Event::RetryTx { core, .. }
+            | Event::MemRetry { core, .. }
+            | Event::ValidationTick { core, .. }
+            | Event::CommitRelease { core, .. }
+            | Event::CoreRecv { core, .. } => Some(*core),
+            Event::DirRecv(
+                DirMsg::Request(req) | DirMsg::ProbeDone { req, .. } | DirMsg::InvAck { req, .. },
+            ) => Some(req.core),
+            Event::DirRecv(DirMsg::WbTiming) => None,
+        }
+    }
 }
 
 // ---- canonical encodings (state commitments and checkpoints) ----------

@@ -14,7 +14,9 @@
 //! reported to the caller, which turns it into a capacity abort.
 
 use crate::addr::LineAddr;
+use crate::digest::{Digest, ElementHashes};
 use crate::line::Line;
+use chats_snap::Snap;
 use std::fmt;
 
 /// MESI stable states as seen by the private cache.
@@ -88,6 +90,8 @@ pub struct Cache {
     ways: usize,
     entries: Vec<Vec<CacheEntry>>,
     lru_clock: u64,
+    /// Commitment hash per set; every method that changes a set marks it.
+    set_hashes: ElementHashes,
 }
 
 impl fmt::Debug for Cache {
@@ -116,6 +120,7 @@ impl Cache {
             ways,
             entries: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             lru_clock: 0,
+            set_hashes: ElementHashes::default(),
         }
     }
 
@@ -139,6 +144,7 @@ impl Cache {
             .iter_mut()
             .find(|e| e.addr == addr && e.state.is_readable());
         if let Some(e) = entry {
+            self.set_hashes.mark(set);
             e.lru = clock;
             Some(e)
         } else {
@@ -156,6 +162,7 @@ impl Cache {
         let clock = self.lru_clock;
         let set = self.set_of(addr);
         let ways = self.ways;
+        self.set_hashes.mark(set);
         let lines = &mut self.entries[set];
 
         if let Some(e) = lines.iter_mut().find(|e| e.addr == addr) {
@@ -204,6 +211,7 @@ impl Cache {
         let set = self.set_of(addr);
         let lines = &mut self.entries[set];
         let idx = lines.iter().position(|e| e.addr == addr)?;
+        self.set_hashes.mark(set);
         Some(lines.swap_remove(idx))
     }
 
@@ -212,7 +220,8 @@ impl Cache {
     /// addresses.
     pub fn gang_invalidate_speculative(&mut self) -> Vec<LineAddr> {
         let mut dropped = Vec::new();
-        for set in &mut self.entries {
+        for (i, set) in self.entries.iter_mut().enumerate() {
+            let before = dropped.len();
             set.retain(|e| {
                 if e.sm || e.spec_received {
                     dropped.push(e.addr);
@@ -221,6 +230,9 @@ impl Cache {
                     true
                 }
             });
+            if dropped.len() != before {
+                self.set_hashes.mark(i);
+            }
         }
         dropped
     }
@@ -228,20 +240,25 @@ impl Cache {
     /// [`Cache::gang_invalidate_speculative`] without collecting the
     /// dropped addresses — the abort hot path does not need them.
     pub fn drop_speculative(&mut self) {
-        for set in &mut self.entries {
+        for (i, set) in self.entries.iter_mut().enumerate() {
+            let before = set.len();
             set.retain(|e| !e.sm && !e.spec_received);
+            if set.len() != before {
+                self.set_hashes.mark(i);
+            }
         }
     }
 
     /// Clears the SM and spec-received bits of every line (transaction
     /// commit): speculative data becomes the committed, `Modified` version.
     pub fn commit_speculative(&mut self) {
-        for set in &mut self.entries {
+        for (i, set) in self.entries.iter_mut().enumerate() {
             for e in set.iter_mut() {
                 if e.sm || e.spec_received {
                     e.sm = false;
                     e.spec_received = false;
                     e.state = CoherenceState::Modified;
+                    self.set_hashes.mark(i);
                 }
             }
         }
@@ -270,6 +287,19 @@ impl Cache {
     /// Ways per set.
     pub fn ways(&self) -> usize {
         self.ways
+    }
+
+    /// Folds this cache's state into a commitment: geometry and LRU clock
+    /// every time, then one hash per set, re-hashing only the sets changed
+    /// since the last fold (every set when `from_scratch`). Covers exactly
+    /// what the `Snap` encoding writes.
+    pub fn digest(&mut self, d: &mut Digest, from_scratch: bool) {
+        d.u64(self.sets as u64);
+        d.u64(self.ways as u64);
+        d.u64(self.lru_clock);
+        let entries = &self.entries;
+        self.set_hashes
+            .fold(d, entries.len(), from_scratch, |i, w| entries[i].save(w));
     }
 }
 
@@ -341,6 +371,7 @@ impl chats_snap::Snap for Cache {
             ways,
             entries,
             lru_clock: r.u64()?,
+            set_hashes: ElementHashes::default(),
         })
     }
 }
@@ -470,6 +501,58 @@ mod tests {
         assert!(!CoherenceState::Shared.is_writable());
         assert!(!CoherenceState::Invalid.is_readable());
         assert!(CoherenceState::Shared.is_readable());
+    }
+
+    /// The incremental digest, then the from-scratch one, of `c`.
+    fn digests(c: &mut Cache) -> (u64, u64) {
+        let (mut inc, mut reference) = (Digest::new(), Digest::new());
+        c.digest(&mut inc, false);
+        c.digest(&mut reference, true);
+        (inc.value(), reference.value())
+    }
+
+    #[test]
+    fn every_mutating_method_marks_what_it_changes() {
+        let mut c = cache();
+        type Step = (&'static str, fn(&mut Cache));
+        let steps: [Step; 8] = [
+            ("insert", |c| {
+                c.insert(LineAddr(0), CoherenceState::Exclusive, Line::splat(1));
+                c.insert(LineAddr(1), CoherenceState::Shared, Line::splat(2));
+            }),
+            ("lookup_mut", |c| {
+                c.lookup_mut(LineAddr(0)).unwrap().sm = true
+            }),
+            ("lookup_mut miss", |c| {
+                assert!(c.lookup_mut(LineAddr(4)).is_none())
+            }),
+            ("commit_speculative", Cache::commit_speculative),
+            ("evicting insert", |c| {
+                c.insert(LineAddr(2), CoherenceState::Shared, Line::zeroed());
+                c.insert(LineAddr(4), CoherenceState::Shared, Line::zeroed());
+            }),
+            ("drop_speculative", |c| {
+                c.lookup_mut(LineAddr(4)).unwrap().spec_received = true;
+                let _ = digests(c);
+                c.drop_speculative();
+            }),
+            ("gang_invalidate_speculative", |c| {
+                c.lookup_mut(LineAddr(1)).unwrap().sm = true;
+                let _ = digests(c);
+                assert_eq!(c.gang_invalidate_speculative(), vec![LineAddr(1)]);
+            }),
+            ("invalidate", |c| {
+                assert!(c.invalidate(LineAddr(2)).is_some())
+            }),
+        ];
+        let mut last = digests(&mut c).0;
+        for (what, step) in steps {
+            step(&mut c);
+            let (inc, reference) = digests(&mut c);
+            assert_eq!(inc, reference, "{what} changed a set without marking it");
+            assert_ne!(inc, last, "{what} changed nothing");
+            last = inc;
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   (SM) bits for lazy versioning,
 //! * [`signature`] — the perfect read signature used for read-set tracking,
 //! * [`store`] — the backing store holding the committed version of every
-//!   line (the folded L2/L3/DRAM level behind the directory).
+//!   line (the folded L2/L3/DRAM level behind the directory),
+//! * [`digest`] — per-element hash caches with dirty marks, from which
+//!   state commitments re-hash only what changed.
 //!
 //! # Example
 //!
@@ -26,6 +28,7 @@
 
 pub mod addr;
 pub mod cache;
+pub mod digest;
 pub mod fasthash;
 pub mod line;
 pub mod signature;
@@ -33,6 +36,7 @@ pub mod store;
 
 pub use addr::{Addr, LineAddr, WORDS_PER_LINE};
 pub use cache::{Cache, CacheEntry, CoherenceState, EvictOutcome};
+pub use digest::{Digest, ElementHashes};
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use line::Line;
 pub use signature::ReadSignature;

@@ -7,8 +7,10 @@
 //! committed data.
 
 use crate::addr::{Addr, LineAddr};
+use crate::digest::{Digest, ElementHashes};
 use crate::fasthash::FastHashMap;
 use crate::line::Line;
+use chats_snap::Snap;
 
 /// Line indices below this are held in a flat, open-addressed-by-identity
 /// array (index == line index) instead of a hash map. Every workload in
@@ -50,6 +52,8 @@ pub struct BackingStore {
     dense_touched: usize,
     /// Everything at or above `DENSE_LINES`.
     sparse: FastHashMap<LineAddr, Line>,
+    /// Commitment hash per dense line; both write methods mark the line.
+    line_hashes: ElementHashes,
 }
 
 impl BackingStore {
@@ -100,6 +104,7 @@ impl BackingStore {
         let idx = addr.index();
         if (idx as usize) < DENSE_LINES {
             self.mark_present(idx as usize);
+            self.line_hashes.mark(idx as usize);
             self.dense[idx as usize] = data;
         } else {
             self.sparse.insert(addr, data);
@@ -126,6 +131,7 @@ impl BackingStore {
         let idx = line.index();
         if (idx as usize) < DENSE_LINES {
             self.mark_present(idx as usize);
+            self.line_hashes.mark(idx as usize);
             self.dense[idx as usize].write(addr, value);
         } else {
             self.sparse
@@ -151,6 +157,33 @@ impl BackingStore {
             .filter(|(i, _)| self.is_present(*i))
             .map(|(i, l)| (LineAddr(i as u64), l));
         dense.chain(self.sparse.iter().map(|(a, l)| (*a, l)))
+    }
+
+    /// Folds the store into a commitment: the dense span's size and the
+    /// sparse lines every time, then one hash per dense line (present bit
+    /// and data), re-hashing only lines written since the last fold (every
+    /// line when `from_scratch`). Covers exactly what the `Snap` encoding
+    /// writes.
+    pub fn digest(&mut self, d: &mut Digest, from_scratch: bool) {
+        d.part(|w| {
+            w.u64(self.dense_touched as u64);
+            w.u64(self.dense.len() as u64);
+            self.sparse.save(w);
+        });
+        let BackingStore {
+            dense,
+            present,
+            line_hashes,
+            ..
+        } = self;
+        line_hashes.fold(d, dense.len(), from_scratch, |i, w| {
+            if present[i / 64] & (1u64 << (i % 64)) != 0 {
+                w.u8(1);
+                dense[i].save(w);
+            } else {
+                w.u8(0);
+            }
+        });
     }
 }
 

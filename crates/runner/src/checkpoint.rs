@@ -298,6 +298,37 @@ mod tests {
     }
 
     #[test]
+    fn version_1_sidecar_degrades_to_a_fresh_run() {
+        let spec = spec();
+        let dir = tmp_dir("v1");
+        let ckpt = CheckpointConfig {
+            every: 256,
+            resume: true,
+            dir: dir.clone(),
+        };
+        let workload = registry::by_name(&spec.workload).unwrap();
+        let mut prep = prepare_run(workload.as_ref(), spec.policy, &spec.config);
+        prep.machine.set_commit_interval(ckpt.every);
+        prep.machine
+            .run_to(ckpt.every, spec.config.max_cycles)
+            .unwrap();
+        // A sidecar written by a build whose chains hashed the whole state
+        // stream: same body, older version word after the magic.
+        let mut v1 = prep.machine.checkpoint();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let mut fresh = prepare_run(workload.as_ref(), spec.policy, &spec.config).machine;
+        let err = fresh.restore(&v1).unwrap_err();
+        assert!(err.what.contains("checkpoint format v1"), "{err}");
+
+        write_checkpoint(&v1, &ckpt.path_for(&spec)).unwrap();
+        let (stats, meta) = execute_checkpointed(&spec, &ckpt).unwrap();
+        assert!(meta.resumed_from.is_none(), "a v1 sidecar restarts from 0");
+        assert_eq!(stats, spec.execute().unwrap());
+        assert!(!ckpt.path_for(&spec).exists(), "the stale sidecar is gone");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_checkpoint_degrades_to_a_fresh_run() {
         let spec = spec();
         let dir = tmp_dir("corrupt");

@@ -128,17 +128,27 @@ impl SnapWriter {
         self.buf.is_empty()
     }
 
+    /// Empties the writer (bytes and section marks), keeping its buffer's
+    /// capacity for reuse as scratch space.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.marks.clear();
+    }
+
     /// Appends one raw byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -281,6 +291,7 @@ pub trait Snap: Sized {
 macro_rules! snap_int {
     ($($t:ty),*) => {$(
         impl Snap for $t {
+            #[inline]
             fn save(&self, w: &mut SnapWriter) {
                 w.u64(*self as u64);
             }
@@ -297,6 +308,7 @@ macro_rules! snap_int {
 snap_int!(u16, u32, u64, usize);
 
 impl Snap for u8 {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.u8(*self);
     }
@@ -306,6 +318,7 @@ impl Snap for u8 {
 }
 
 impl Snap for i64 {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.u64(*self as u64);
     }
@@ -315,6 +328,7 @@ impl Snap for i64 {
 }
 
 impl Snap for bool {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.u8(u8::from(*self));
     }
