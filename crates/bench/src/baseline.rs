@@ -196,8 +196,8 @@ fn contended_program(iters: u64) -> Program {
 const CONTENDED_ITERS: u64 = 1000;
 
 /// The contended kernel at the baseline iteration count, shared with the
-/// commitment-overhead bench so both of its arms run the identical
-/// program the off-arm (`measure_case`) runs.
+/// commitment-overhead bench so both of its arms run the program the
+/// baseline's contended cell runs.
 pub(crate) fn contended_program_for_bench() -> Program {
     contended_program(CONTENDED_ITERS)
 }

@@ -378,11 +378,10 @@ impl Machine {
             let c = &mut self.cores[core];
             // Train the Rrestrict/W predictor with this attempt's writes.
             let (l1, predictor, site) = (&c.l1, &mut c.write_predictor, c.tx_site);
-            predictor.entry(site).or_default().extend(
-                l1.iter()
-                    .filter(|e| e.sm && !e.spec_received)
-                    .map(|e| e.addr),
-            );
+            predictor
+                .entry(site)
+                .or_default()
+                .extend(l1.speculative_writes().map(|e| e.addr));
             c.l1.drop_speculative();
             c.read_sig.clear();
             c.vsb.clear();

@@ -12,6 +12,10 @@
 //! Replacement is LRU but *favours* keeping write-set blocks, as the paper
 //! notes real RTM replacement does; evicting an SM or spec-received line is
 //! reported to the caller, which turns it into a capacity abort.
+//!
+//! Commit and abort clear every SM and spec-received bit at once (a flash
+//! operation in hardware). The cache remembers which sets may hold such
+//! lines, so both cost what the transaction touched, not the whole L1.
 
 use crate::addr::LineAddr;
 use crate::digest::{Digest, ElementHashes};
@@ -92,6 +96,11 @@ pub struct Cache {
     lru_clock: u64,
     /// Commitment hash per set; every method that changes a set marks it.
     set_hashes: ElementHashes,
+    /// One bit per set that may hold an SM or spec-received line: set
+    /// wherever a set is written or a `&mut CacheEntry` handed out,
+    /// cleared by commit and abort. Derived from `entries`, so it is
+    /// neither hashed nor serialized.
+    spec_sets: Vec<u64>,
 }
 
 impl fmt::Debug for Cache {
@@ -121,6 +130,7 @@ impl Cache {
             entries: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             lru_clock: 0,
             set_hashes: ElementHashes::default(),
+            spec_sets: vec![0; sets.div_ceil(64)],
         }
     }
 
@@ -145,6 +155,7 @@ impl Cache {
             .find(|e| e.addr == addr && e.state.is_readable());
         if let Some(e) = entry {
             self.set_hashes.mark(set);
+            self.spec_sets[set / 64] |= 1 << (set % 64);
             e.lru = clock;
             Some(e)
         } else {
@@ -163,6 +174,7 @@ impl Cache {
         let set = self.set_of(addr);
         let ways = self.ways;
         self.set_hashes.mark(set);
+        self.spec_sets[set / 64] |= 1 << (set % 64);
         let lines = &mut self.entries[set];
 
         if let Some(e) = lines.iter_mut().find(|e| e.addr == addr) {
@@ -215,53 +227,61 @@ impl Cache {
         Some(lines.swap_remove(idx))
     }
 
-    /// Conditional gang invalidation of all speculative lines (write set and
-    /// spec-received), as on transaction abort. Returns the dropped line
-    /// addresses.
-    pub fn gang_invalidate_speculative(&mut self) -> Vec<LineAddr> {
-        let mut dropped = Vec::new();
-        for (i, set) in self.entries.iter_mut().enumerate() {
-            let before = dropped.len();
-            set.retain(|e| {
-                if e.sm || e.spec_received {
-                    dropped.push(e.addr);
-                    false
-                } else {
-                    true
-                }
-            });
-            if dropped.len() != before {
-                self.set_hashes.mark(i);
-            }
-        }
-        dropped
-    }
-
-    /// [`Cache::gang_invalidate_speculative`] without collecting the
-    /// dropped addresses — the abort hot path does not need them.
+    /// Conditional gang invalidation of all speculative lines (write set
+    /// and spec-received), as on transaction abort. Visits only the sets
+    /// that may hold them.
     pub fn drop_speculative(&mut self) {
-        for (i, set) in self.entries.iter_mut().enumerate() {
-            let before = set.len();
-            set.retain(|e| !e.sm && !e.spec_received);
-            if set.len() != before {
-                self.set_hashes.mark(i);
+        debug_assert!(self.speculative_lines_are_tracked());
+        for (w, word) in self.spec_sets.iter_mut().enumerate() {
+            for i in set_bits(w, std::mem::take(word)) {
+                let set = &mut self.entries[i];
+                let before = set.len();
+                set.retain(|e| !e.sm && !e.spec_received);
+                if set.len() != before {
+                    self.set_hashes.mark(i);
+                }
             }
         }
     }
 
     /// Clears the SM and spec-received bits of every line (transaction
     /// commit): speculative data becomes the committed, `Modified` version.
+    /// Visits only the sets that may hold speculative lines.
     pub fn commit_speculative(&mut self) {
-        for (i, set) in self.entries.iter_mut().enumerate() {
-            for e in set.iter_mut() {
-                if e.sm || e.spec_received {
-                    e.sm = false;
-                    e.spec_received = false;
-                    e.state = CoherenceState::Modified;
-                    self.set_hashes.mark(i);
+        debug_assert!(self.speculative_lines_are_tracked());
+        for (w, word) in self.spec_sets.iter_mut().enumerate() {
+            for i in set_bits(w, std::mem::take(word)) {
+                for e in &mut self.entries[i] {
+                    if e.sm || e.spec_received {
+                        e.sm = false;
+                        e.spec_received = false;
+                        e.state = CoherenceState::Modified;
+                        self.set_hashes.mark(i);
+                    }
                 }
             }
         }
+    }
+
+    /// The write set as the abort path trains the write predictor with
+    /// it: SM lines that were not received speculatively, in (set, way)
+    /// order — the order [`Cache::iter`] would yield them in.
+    pub fn speculative_writes(&self) -> impl Iterator<Item = &CacheEntry> {
+        self.spec_sets
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(w, word))
+            .flat_map(|i| &self.entries[i])
+            .filter(|e| e.sm && !e.spec_received)
+    }
+
+    /// The invariant behind the set bitmap: no SM or spec-received line
+    /// sits in an unmarked set.
+    fn speculative_lines_are_tracked(&self) -> bool {
+        self.entries.iter().enumerate().all(|(i, set)| {
+            self.spec_sets[i / 64] & (1 << (i % 64)) != 0
+                || set.iter().all(|e| !e.sm && !e.spec_received)
+        })
     }
 
     /// Iterates over all resident lines.
@@ -301,6 +321,16 @@ impl Cache {
         self.set_hashes
             .fold(d, entries.len(), from_scratch, |i, w| entries[i].save(w));
     }
+}
+
+/// The indices of the sets whose bits are set in word `w` of a set
+/// bitmap, ascending.
+fn set_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (bit < 64).then_some(w * 64 + bit)
+    })
 }
 
 impl chats_snap::Snap for CoherenceState {
@@ -345,10 +375,11 @@ impl chats_snap::Snap for CacheEntry {
 }
 
 // Entries are saved in stored (set, way) order, not sorted: way order
-// inside a set is deterministic machine state (`gang_invalidate_speculative`
-// reports dropped lines in way order), so it must survive a round-trip
-// exactly. The `lru` stamps and `lru_clock` travel verbatim for the same
-// reason.
+// inside a set is deterministic machine state (commitments hash the sets
+// in this encoding), so it must survive a round-trip exactly.
+// The `lru` stamps and `lru_clock` travel verbatim for the same reason.
+// The speculative-set bitmap is not saved: `load` rebuilds it from the
+// entries.
 impl chats_snap::Snap for Cache {
     fn save(&self, w: &mut chats_snap::SnapWriter) {
         w.u64(self.sets as u64);
@@ -366,12 +397,19 @@ impl chats_snap::Snap for Cache {
         if entries.len() != sets || entries.iter().any(|s| s.len() > ways) {
             return Err(r.err("cache entries do not fit the recorded geometry"));
         }
+        let mut spec_sets = vec![0; sets.div_ceil(64)];
+        for (i, set) in entries.iter().enumerate() {
+            if set.iter().any(|e| e.sm || e.spec_received) {
+                spec_sets[i / 64] |= 1 << (i % 64);
+            }
+        }
         Ok(Cache {
             sets,
             ways,
             entries,
             lru_clock: r.u64()?,
             set_hashes: ElementHashes::default(),
+            spec_sets,
         })
     }
 }
@@ -461,11 +499,18 @@ mod tests {
         c.insert(LineAddr(1), CoherenceState::Shared, Line::zeroed());
         c.insert(LineAddr(2), CoherenceState::Exclusive, Line::zeroed());
         c.lookup_mut(LineAddr(2)).unwrap().spec_received = true;
-        let dropped = c.gang_invalidate_speculative();
-        assert_eq!(dropped.len(), 2);
-        assert!(dropped.contains(&LineAddr(0)));
-        assert!(dropped.contains(&LineAddr(2)));
+        let dropped: Vec<LineAddr> = c
+            .iter()
+            .filter(|e| e.sm || e.spec_received)
+            .map(|e| e.addr)
+            .collect();
+        assert_eq!(dropped, vec![LineAddr(0), LineAddr(2)]);
+        c.drop_speculative();
+        for line in dropped {
+            assert!(c.lookup(line).is_none());
+        }
         assert!(c.lookup(LineAddr(1)).is_some());
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -536,10 +581,11 @@ mod tests {
                 let _ = digests(c);
                 c.drop_speculative();
             }),
-            ("gang_invalidate_speculative", |c| {
+            ("drop_speculative of a write-set line", |c| {
                 c.lookup_mut(LineAddr(1)).unwrap().sm = true;
                 let _ = digests(c);
-                assert_eq!(c.gang_invalidate_speculative(), vec![LineAddr(1)]);
+                c.drop_speculative();
+                assert!(c.lookup(LineAddr(1)).is_none());
             }),
             ("invalidate", |c| {
                 assert!(c.invalidate(LineAddr(2)).is_some())
